@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet race fuzz-smoke cluster-smoke crash-smoke fmt api api-check
+.PHONY: all build test vet race fuzz-smoke cluster-smoke crash-smoke bench-check fmt api api-check
 
 all: build vet test
 
@@ -56,6 +56,13 @@ crash-smoke:
 	$(GO) test -race -tags lbsqcheck -timeout 10m \
 		-run 'Durable|Crash|Admin|WAL|Snapshot|Checkpoint|Recover|Store' \
 		. ./internal/wal ./internal/storage
+
+# bench-check vets and tests the nested benchmark module (bench/, its
+# own go.mod). The root module's go test ./... does not build it, so this
+# is what catches a change to the internal APIs its probes compile
+# against (core.InfluenceSetKNN, tp.KNN, tp.NN, ...).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 fmt:
 	gofmt -w .

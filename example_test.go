@@ -20,13 +20,13 @@ func ExampleDB_NN() {
 	fmt.Println("neighbors:", len(v.Neighbors))
 	fmt.Println("region edges:", v.Region.Edges())
 	fmt.Println("influence objects:", len(v.Influence))
-	fmt.Println("tp probes:", cost.TPQueries)
+	fmt.Println("node accesses:", cost.Total())
 	fmt.Println("still valid nearby:", v.Valid(lbsq.Pt(0.4001, 0.6)))
 	// Output:
 	// neighbors: 1
 	// region edges: 6
 	// influence objects: 6
-	// tp probes: 12
+	// node accesses: 5
 	// still valid nearby: true
 }
 

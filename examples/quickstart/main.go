@@ -29,7 +29,7 @@ func main() {
 		me, nn.Item.ID, nn.Item.P, nn.Dist)
 	fmt.Printf("validity region: %d edges, area %.3g, %d influence objects\n",
 		v.Region.Edges(), v.Region.Area(), len(v.Influence))
-	fmt.Printf("server cost: %d node accesses (%d for the NN, %d for %d TP probes)\n",
+	fmt.Printf("server cost: %d node accesses (%d for the NN, %d for the region, %d TP probes)\n",
 		cost.Total(), cost.ResultNA, cost.InfNA, cost.TPQueries)
 
 	// While we stay inside the region the answer provably cannot change —

@@ -307,11 +307,13 @@ func TestWireRoundTripWindow(t *testing.T) {
 	}
 }
 
+// TestNNQueryCostSplit checks the paper's cost split (Fig. 27) on its
+// algorithm, NNQueryTP: TP probes dominate the influence phase.
 func TestNNQueryCostSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tree, _ := buildTree(rng, 20000)
 	s := NewServer(tree, universe)
-	_, cost, err := s.NNQuery(geom.Pt(0.5, 0.5), 1)
+	_, cost, err := s.NNQueryTP(geom.Pt(0.5, 0.5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +331,7 @@ func TestNNQueryCostSplit(t *testing.T) {
 	var infNA, infPA int64
 	for i := 0; i < 50; i++ {
 		p := geom.Pt(rng.Float64(), rng.Float64())
-		_, c, err := s.NNQuery(p, 1)
+		_, c, err := s.NNQueryTP(p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"lbsq/internal/geom"
 	"lbsq/internal/nn"
@@ -38,8 +39,10 @@ type NNValidity struct {
 	// appearing in Pairs.
 	Influence []rtree.Item
 
-	// TPQueries is the number of TP(k)NN probes executed; by Lemma 3.2
-	// it equals the number of influence pairs plus confirmed vertices.
+	// TPQueries is the number of TP(k)NN probes executed. In the paper's
+	// loop (InfluenceSetKNNTP) it equals the number of influence pairs
+	// plus confirmed vertices (Lemma 3.2); the served region probes only
+	// the vertices its browse did not prove.
 	TPQueries int
 
 	// GuardCenter/GuardRadius describe an optional guard circle produced
@@ -129,34 +132,277 @@ const maxInfluenceIterations = 100000
 // reported rather than lost to the strict-inequality semantics.
 const vertexCapEps = 1e-9
 
-// InfluenceSetKNN runs the paper's algorithm Retrieve_Influence_Set_kNN
+// InfluenceSetKNN computes the validity region of members — the exact k
+// nearest neighbors of q — and its minimal influence set. It browses the
+// index from q; when the first objects browsed are the members, the
+// region is built by guardedRegion and TP probes run only for vertices
+// the guard cannot prove. Otherwise (a shard or cluster node that does
+// not own the members) it runs the paper's TP loop, InfluenceSetKNNTP.
+//
+// The universe rectangle bounds the initial region.
+func InfluenceSetKNN(ix rtree.Index, q geom.Point, members []rtree.Item, universe geom.Rect) (*NNValidity, error) {
+	root := ix.RootRef()
+	if len(members) == 0 || !root.Valid() {
+		return InfluenceSetKNNTP(ix, q, members, universe, OrderFirst)
+	}
+	// A node owning the members holds them inside its root MBR, and
+	// browses the i-th of them within the i-th member distance; anything
+	// else falls back as soon as it shows.
+	rect := ix.RefRect(root)
+	reach := make([]float64, len(members))
+	for i, m := range members {
+		if !rect.Contains(m.P) {
+			return InfluenceSetKNNTP(ix, q, members, universe, OrderFirst)
+		}
+		reach[i] = q.Dist2(m.P)
+	}
+	sort.Float64s(reach)
+	b := nn.AcquireBrowser(ix, q)
+	defer b.Release()
+	for _, r2 := range reach {
+		nb, ok := b.NextWithin(r2)
+		if !ok || !isMember(members, nb.Item.ID) {
+			return InfluenceSetKNNTP(ix, q, members, universe, OrderFirst)
+		}
+	}
+	return guardedRegion(b, ix, q, members, universe)
+}
+
+// isMember reports whether id is one of the result members (k is small).
+func isMember(members []rtree.Item, id int64) bool {
+	for i := range members {
+		if members[i].ID == id {
+			return true
+		}
+	}
+	return false
+}
+
+// newNNValidity starts the answer for result members at q.
+func newNNValidity(q geom.Point, members []rtree.Item) *NNValidity {
+	v := &NNValidity{Query: q, K: len(members), Neighbors: make([]nn.Neighbor, len(members))}
+	for i, m := range members {
+		v.Neighbors[i] = nn.Neighbor{Item: m, Dist: m.P.Dist(q)}
+	}
+	return v
+}
+
+// guardedRegion builds the validity region of members, which must be the
+// first len(members) objects b has reported, by continuing the same
+// best-first browse. Each further object o clips the region by its
+// bisector with every member whose half-plane moves a vertex. A vertex v
+// is proven once max_m |vm| + |qv| ≤ g, where g = b.Bound() lower-bounds
+// the distance of every unbrowsed object o from q: then
+// |vo| ≥ |qo| − |qv| ≥ max_m |vm|, so no unbrowsed object can cut v, and
+// a convex region whose vertices are all proven is exact.
+//
+// The browse stops when every vertex is proven, or once the node
+// accesses it spent after the members exceed the tree height per
+// unproven vertex — about what a TP probe per vertex would cost. The
+// remaining vertices are then confirmed by the TP loop. Only pairs whose
+// bisector supports an edge of the final region are emitted.
+func guardedRegion(b *nn.Browser, ix rtree.Index, q geom.Point, members []rtree.Item, universe geom.Rect) (*NNValidity, error) {
+	v := newNNValidity(q, members)
+	g := guardPoly{q: q, members: members}
+	g.reset(universe.Polygon())
+	start, height := b.Expanded(), ix.Height()
+	for {
+		unproven := g.unproven(b.Bound())
+		if unproven == 0 || b.Expanded()-start > height*unproven {
+			break
+		}
+		nb, ok := b.Next()
+		if !ok {
+			break
+		}
+		if !g.reaches(nb.Item.P) {
+			continue
+		}
+		for _, m := range members {
+			h := geom.Bisector(m.P, nb.Item.P)
+			if !g.cuts(h) {
+				continue
+			}
+			v.Pairs = append(v.Pairs, InfluencePair{Obj: nb.Item, Member: m})
+			g.clip(h)
+			if len(g.poly) == 0 {
+				// Degenerate region (e.g. duplicate points tied with the
+				// result): the result changes under any movement.
+				v.Region = geom.Polygon{}
+				v.Influence = influenceObjects(v.Pairs)
+				return v, nil
+			}
+		}
+	}
+
+	vp := &vertexPoly{poly: g.poly, confirmed: make([]bool, len(g.poly)), exact: true}
+	bound := b.Bound()
+	for i, need := range g.need {
+		vp.confirmed[i] = need <= bound
+	}
+	err := tpConfirm(ix, q, members, universe, v, vp, OrderFirst)
+	if !vp.empty() {
+		v.Pairs = edgePairs(v.Pairs, vp.poly)
+	}
+	v.Influence = influenceObjects(v.Pairs)
+	return v, err
+}
+
+// guardPoly is the region under construction in guardedRegion, with per
+// vertex the squared distance r2 to its farthest member and the guard
+// distance need = |qv| + max_m |vm| that proves it.
+type guardPoly struct {
+	q       geom.Point
+	members []rtree.Item
+	poly    geom.Polygon
+	r2      []float64
+	need    []float64
+}
+
+func (g *guardPoly) reset(pg geom.Polygon) {
+	g.poly = pg
+	g.r2, g.need = g.r2[:0], g.need[:0]
+	for _, p := range pg {
+		r2 := g.farthest2(p)
+		g.r2 = append(g.r2, r2)
+		g.need = append(g.need, g.q.Dist(p)+math.Sqrt(r2))
+	}
+}
+
+// farthest2 returns the squared distance from p to its farthest member.
+func (g *guardPoly) farthest2(p geom.Point) float64 {
+	r2 := 0.0
+	for _, m := range g.members {
+		r2 = max(r2, p.Dist2(m.P))
+	}
+	return r2
+}
+
+// unproven counts the vertices the guard distance bound cannot prove.
+func (g *guardPoly) unproven(bound float64) int {
+	n := 0
+	for _, need := range g.need {
+		if need > bound {
+			n++
+		}
+	}
+	return n
+}
+
+// reaches reports whether o is closer to some vertex than that vertex's
+// farthest member — the only way any of o's bisectors can cut it.
+func (g *guardPoly) reaches(o geom.Point) bool {
+	for i, p := range g.poly {
+		if p.Dist2(o) < g.r2[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// cuts reports whether clipping by h would drop a vertex.
+func (g *guardPoly) cuts(h geom.HalfPlane) bool {
+	if h.Degenerate() {
+		return false
+	}
+	tol := exactTol(h)
+	for _, p := range g.poly {
+		if h.Eval(p) > tol {
+			return true
+		}
+	}
+	return false
+}
+
+// clip intersects the region with h. Surviving vertices are copied
+// bit-identically by the clip, so they keep their distances; only the
+// new vertices are measured.
+func (g *guardPoly) clip(h geom.HalfPlane) {
+	old, oldR2, oldNeed := g.poly, g.r2, g.need
+	g.poly = g.poly.ClipHalfPlaneTol(h, exactTol(h))
+	g.r2, g.need = make([]float64, len(g.poly)), make([]float64, len(g.poly))
+	j := 0
+	for i, p := range g.poly {
+		k := j
+		for k < len(old) && !geom.SamePoint(old[k], p) {
+			k++
+		}
+		if k < len(old) {
+			g.r2[i], g.need[i], j = oldR2[k], oldNeed[k], k+1
+			continue
+		}
+		g.r2[i] = g.farthest2(p)
+		g.need[i] = g.q.Dist(p) + math.Sqrt(g.r2[i])
+	}
+}
+
+// exactTol is the clipping tolerance of the served region: a distance
+// slack of about Eps. ClipHalfPlane's fixed Eps·(1+|A|+|B|) allows up
+// to Eps/|AB| — 10⁻⁶ for neighbors 10⁻³ apart, coarser than the
+// regions of k-NN queries on large datasets.
+func exactTol(h geom.HalfPlane) float64 {
+	return geom.Eps * (math.Abs(h.A) + math.Abs(h.B))
+}
+
+// edgePairs keeps the pairs whose bisector supports an edge of the convex
+// polygon pg: both endpoints on the bisector line, within the clipping
+// tolerance. The polygon is the intersection of the universe with these
+// pairs' half-planes, so the dropped pairs constrain nothing.
+func edgePairs(pairs []InfluencePair, pg geom.Polygon) []InfluencePair {
+	out := pairs[:0]
+	for _, pr := range pairs {
+		h := geom.Bisector(pr.Member.P, pr.Obj.P)
+		tol := exactTol(h)
+		for i := range pg {
+			a, c := pg[i], pg[(i+1)%len(pg)]
+			if math.Abs(h.Eval(a)) <= tol && math.Abs(h.Eval(c)) <= tol {
+				out = append(out, pr)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// influenceObjects returns the distinct objects of pairs, in order of
+// first appearance.
+func influenceObjects(pairs []InfluencePair) []rtree.Item {
+	var out []rtree.Item
+	for _, pr := range pairs {
+		if !isMember(out, pr.Obj.ID) {
+			out = append(out, pr.Obj)
+		}
+	}
+	return out
+}
+
+// InfluenceSetKNNTP runs the paper's algorithm Retrieve_Influence_Set_kNN
 // (Fig. 12; Fig. 10 is the k = 1 case): starting from the data universe,
 // repeatedly probe an unconfirmed region vertex with a TPkNN query,
 // clipping the region by the bisector of every newly discovered
-// influence pair, until all vertices are confirmed.
+// influence pair, until all vertices are confirmed. order picks the
+// vertex probed next (see VertexOrder). It is the reference the
+// experiments measure and the fallback of InfluenceSetKNN.
 //
 // members must be the exact k nearest neighbors of q. The universe
 // rectangle bounds the initial region.
-func InfluenceSetKNN(ix rtree.Index, q geom.Point, members []rtree.Item, universe geom.Rect) (*NNValidity, error) {
-	return InfluenceSetKNNOrdered(ix, q, members, universe, OrderFirst)
-}
-
-// InfluenceSetKNNOrdered is InfluenceSetKNN with an explicit
-// vertex-probing order (see VertexOrder); used by the ablation
-// experiments.
-func InfluenceSetKNNOrdered(ix rtree.Index, q geom.Point, members []rtree.Item, universe geom.Rect, order VertexOrder) (*NNValidity, error) {
-	v := &NNValidity{Query: q, K: len(members)}
-	for _, m := range members {
-		v.Neighbors = append(v.Neighbors, nn.Neighbor{Item: m, Dist: m.P.Dist(q)})
-	}
+func InfluenceSetKNNTP(ix rtree.Index, q geom.Point, members []rtree.Item, universe geom.Rect, order VertexOrder) (*NNValidity, error) {
+	v := newNNValidity(q, members)
 	if len(members) == 0 {
 		return v, fmt.Errorf("core: empty result set")
 	}
-
 	vp := newVertexPoly(universe.Polygon())
-	seenPairs := make(map[[2]int64]bool)
-	seenObjs := make(map[int64]bool)
+	err := tpConfirm(ix, q, members, universe, v, vp, order)
+	v.Influence = influenceObjects(v.Pairs)
+	return v, err
+}
 
+// tpConfirm is the TP loop of Figs. 10/12 over the region vp: it probes
+// unconfirmed vertices with TPkNN queries, appending each newly found
+// influence pair to v.Pairs and clipping by its bisector, until every
+// vertex is confirmed; then it sets v.Region. Pairs already in v.Pairs
+// count as known.
+func tpConfirm(ix rtree.Index, q geom.Point, members []rtree.Item, universe geom.Rect, v *NNValidity, vp *vertexPoly, order VertexOrder) error {
 	for iter := 0; iter < maxInfluenceIterations; iter++ {
 		vi := vp.nextUnconfirmed(order, q)
 		if vi < 0 {
@@ -164,7 +410,7 @@ func InfluenceSetKNNOrdered(ix rtree.Index, q geom.Point, members []rtree.Item, 
 				assertRegion(q, vp.poly, universe)
 			}
 			v.Region = vp.poly
-			return v, nil
+			return nil
 		}
 		vert := vp.poly[vi]
 		d := q.Dist(vert)
@@ -178,31 +424,31 @@ func InfluenceSetKNNOrdered(ix rtree.Index, q geom.Point, members []rtree.Item, 
 		tCap := d*(1+vertexCapEps) + 1e-12
 		res := tp.KNN(ix, q, u, members, tCap)
 		v.TPQueries++
-
-		key := [2]int64{0, 0}
-		if res.Found {
-			key = [2]int64{res.Obj.ID, res.Member.ID}
-		}
-		if !res.Found || seenPairs[key] {
+		if !res.Found || knownPair(v.Pairs, res.Obj.ID, res.Member.ID) {
 			vp.confirm(vi)
 			continue
 		}
-		seenPairs[key] = true
 		v.Pairs = append(v.Pairs, InfluencePair{Obj: res.Obj, Member: res.Member})
-		if !seenObjs[res.Obj.ID] {
-			seenObjs[res.Obj.ID] = true
-			v.Influence = append(v.Influence, res.Obj)
-		}
 		vp.clip(geom.Bisector(res.Member.P, res.Obj.P))
 		if vp.empty() {
 			// Degenerate region (e.g. duplicate points tied with the
 			// result): the result changes under any movement.
 			v.Region = geom.Polygon{}
-			return v, nil
+			return nil
 		}
 	}
 	v.Region = vp.poly
-	return v, fmt.Errorf("core: influence-set iteration cap reached (degenerate input?)")
+	return fmt.Errorf("core: influence-set iteration cap reached (degenerate input?)")
+}
+
+// knownPair reports whether pairs already holds (obj, member).
+func knownPair(pairs []InfluencePair, obj, member int64) bool {
+	for _, pr := range pairs {
+		if pr.Obj.ID == obj && pr.Member.ID == member {
+			return true
+		}
+	}
+	return false
 }
 
 // assertRegion checks the Lemma 3.1/3.2 invariants on a completed

@@ -199,7 +199,8 @@ func TestInfluenceSetMinimality(t *testing.T) {
 }
 
 func TestLemma32QueryCount(t *testing.T) {
-	// The number of TP probes is ninf + nv (Lemma 3.2). Our loop counts
+	// The number of TP probes of the paper's loop (InfluenceSetKNNTP) is
+	// ninf + nv (Lemma 3.2). Our loop counts
 	// pair discoveries (ninf) plus confirmations; every confirmation
 	// corresponds to a final-region vertex probe, so TPQueries must be
 	// at least len(Pairs) + len(Region) and stay in the same ballpark.
@@ -208,7 +209,7 @@ func TestLemma32QueryCount(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		q := geom.Pt(rng.Float64()*0.8+0.1, rng.Float64()*0.8+0.1)
 		o, _ := nn.Nearest(tree, q)
-		v, err := InfluenceSet1NN(tree, q, o.Item, universe)
+		v, err := InfluenceSetKNNTP(tree, q, []rtree.Item{o.Item}, universe, OrderFirst)
 		if err != nil {
 			t.Fatal(err)
 		}

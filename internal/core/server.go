@@ -22,7 +22,8 @@ type QueryCost struct {
 	// ResultPA / InfPA are page faults under the attached LRU buffer;
 	// without a buffer they equal the node accesses.
 	ResultPA, InfPA int64
-	// TPQueries is the number of TP probes issued (NN queries only).
+	// TPQueries is the number of TP probes issued (NN queries only; see
+	// NNValidity.TPQueries).
 	TPQueries int
 }
 
@@ -119,22 +120,45 @@ func (s *Server) faults() int64 {
 }
 
 // NNQuery answers a location-based k-nearest-neighbor query at q
-// (Sec. 3.2): (i) find the k nearest neighbors with best-first search
-// [HS99]; (ii) compute the influence set with TPkNN probes; (iii) return
-// both, with the validity region.
+// (Sec. 3.2) with one best-first descent [HS99]: the first k objects it
+// reports are the result (charged to ResultNA); browsing on builds the
+// validity region and its influence set (guardedRegion), with TP probes
+// only for vertices the browse does not prove.
 func (s *Server) NNQuery(q geom.Point, k int) (*NNValidity, QueryCost, error) {
+	return s.nnQuery(q, k, false)
+}
+
+// NNQueryTP is NNQuery with the paper's region algorithm: the k nearest
+// neighbors, then the TPkNN loop of InfluenceSetKNNTP. It is the
+// reference the experiments measure (Figs. 25–28).
+func (s *Server) NNQueryTP(q geom.Point, k int) (*NNValidity, QueryCost, error) {
+	return s.nnQuery(q, k, true)
+}
+
+func (s *Server) nnQuery(q geom.Point, k int, tpOnly bool) (*NNValidity, QueryCost, error) {
 	var cost QueryCost
 	na0, pa0 := s.Index.NodeAccesses(), s.faults()
-	nbs := nn.KNearest(s.Index, q, k)
+	b := nn.AcquireBrowser(s.Index, q)
+	defer b.Release()
+	members := make([]rtree.Item, 0, k)
+	for len(members) < k {
+		nb, ok := b.Next()
+		if !ok {
+			break
+		}
+		members = append(members, nb.Item)
+	}
 	na1, pa1 := s.Index.NodeAccesses(), s.faults()
-	if len(nbs) < k {
+	if len(members) < k {
 		return nil, cost, fmt.Errorf("core: dataset has fewer than %d points", k)
 	}
-	members := make([]rtree.Item, k)
-	for i, nb := range nbs {
-		members[i] = nb.Item
+	var v *NNValidity
+	var err error
+	if tpOnly {
+		v, err = InfluenceSetKNNTP(s.Index, q, members, s.Universe, OrderFirst)
+	} else {
+		v, err = guardedRegion(b, s.Index, q, members, s.Universe)
 	}
-	v, err := InfluenceSetKNN(s.Index, q, members, s.Universe)
 	na2, pa2 := s.Index.NodeAccesses(), s.faults()
 	cost = QueryCost{
 		ResultNA: na1 - na0, InfNA: na2 - na1,

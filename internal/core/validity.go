@@ -7,7 +7,9 @@
 // region.
 //
 // Nearest-neighbor validity regions (Section 3) are (order-k) Voronoi
-// cells computed on the fly with time-parameterized NN queries; window
+// cells computed on the fly: served from the NN search's own best-first
+// descent, with time-parameterized NN queries (the paper's algorithm)
+// only where that descent cannot prove a vertex; window
 // validity regions (Section 4) combine the inner validity rectangle of
 // the result points with the Minkowski rectangles of nearby outer
 // points.
@@ -26,6 +28,10 @@ import (
 type vertexPoly struct {
 	poly      geom.Polygon
 	confirmed []bool
+	// exact selects the served region's clipping (exactTol, empty only
+	// when degenerate) over the paper loop's geom defaults, under which
+	// regions of area ≤ geom.Eps read as empty.
+	exact bool
 }
 
 func newVertexPoly(pg geom.Polygon) *vertexPoly {
@@ -77,7 +83,12 @@ func (vp *vertexPoly) nextUnconfirmed(order VertexOrder, q geom.Point) int {
 
 func (vp *vertexPoly) confirm(i int) { vp.confirmed[i] = true }
 
-func (vp *vertexPoly) empty() bool { return vp.poly.IsEmpty() }
+func (vp *vertexPoly) empty() bool {
+	if vp.exact {
+		return len(vp.poly) == 0
+	}
+	return vp.poly.IsEmpty()
+}
 
 // clip intersects the polygon with half-plane h, carrying confirmed
 // flags across to surviving vertices.
@@ -88,7 +99,11 @@ func (vp *vertexPoly) clip(h geom.HalfPlane) {
 			old[p] = true
 		}
 	}
-	vp.poly = vp.poly.ClipHalfPlane(h)
+	if vp.exact {
+		vp.poly = vp.poly.ClipHalfPlaneTol(h, exactTol(h))
+	} else {
+		vp.poly = vp.poly.ClipHalfPlane(h)
+	}
 	vp.confirmed = make([]bool, len(vp.poly))
 	for i, p := range vp.poly {
 		vp.confirmed[i] = old[p]

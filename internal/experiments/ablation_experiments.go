@@ -77,7 +77,7 @@ func ablVertexOrder(items []rtree.Item, qpts []geom.Point) Table {
 				continue
 			}
 			tree.ResetAccesses()
-			v, err := core.InfluenceSetKNNOrdered(tree, q, []rtree.Item{o.Item}, uni, ord.o)
+			v, err := core.InfluenceSetKNNTP(tree, q, []rtree.Item{o.Item}, uni, ord.o)
 			if err != nil {
 				continue
 			}
@@ -103,7 +103,7 @@ func ablBufferSweep(items []rtree.Item, qpts []geom.Point) Table {
 		var res, inf float64
 		n := 0
 		for _, q := range qpts {
-			_, cost, err := s.NNQuery(q, 1)
+			_, cost, err := s.NNQueryTP(q, 1)
 			if err != nil {
 				continue
 			}

@@ -222,6 +222,8 @@ type nnAgg struct {
 }
 
 // runNN executes a k-NN workload on the server and aggregates metrics.
+// It runs the paper's algorithm (Server.NNQueryTP), so the TP probe
+// counts and influence-phase costs are the ones Figs. 25–28 report.
 // If hist is non-nil the per-query estimated area uses its local
 // density; otherwise density is uniform (n / universe area).
 func runNN(s *core.Server, queries []geom.Point, k int, hist *histogram.Histogram, estimate func(density float64, k int) float64) nnAgg {
@@ -229,7 +231,7 @@ func runNN(s *core.Server, queries []geom.Point, k int, hist *histogram.Histogra
 	uniArea := s.Universe.Area()
 	n := s.Tree.Len()
 	for _, q := range queries {
-		v, cost, err := s.NNQuery(q, k)
+		v, cost, err := s.NNQueryTP(q, k)
 		if err != nil {
 			continue
 		}

@@ -64,7 +64,7 @@ func Sessions(cfg Config) []Table {
 	t := Table{
 		Title: fmt.Sprintf("Continuous-query sessions: %s (%d points, %d steps/client, fleets >%d clients sampled)",
 			d.Name, n, steps, sessionSampleCap),
-		Columns: []string{"clients", "mode", "queries", "NA/move", "NA/rebuild", "hit rate", "pf hits", "p50", "p99"},
+		Columns: []string{"clients", "mode", "queries", "NA/move", "NA/rebuild", "hit rate", "pf hits", "p50", "p99", "pf issued/waste"},
 	}
 	for _, fleet := range fleets {
 		sample := fleet
@@ -97,6 +97,7 @@ func Sessions(cfg Config) []Table {
 				fmt.Sprintf("%.0f", float64(r.prefetchHits)*scale),
 				r.pct(0.50).Round(time.Microsecond).String(),
 				r.pct(0.99).Round(time.Microsecond).String(),
+				fmt.Sprintf("%.0f/%.0f", float64(r.pfIssued)*scale, float64(r.pfWaste)*scale),
 			})
 		}
 	}
@@ -111,7 +112,10 @@ type fleetResult struct {
 	nodeAccesses int64
 	hits         int // moves answered without a query (region/cache hit)
 	prefetchHits int
-	lat          []time.Duration
+	// pfIssued/pfWaste count prefetches started and discarded unused;
+	// both depend on the prefetcher's timing.
+	pfIssued, pfWaste int64
+	lat               []time.Duration
 }
 
 func (r *fleetResult) observe(d time.Duration) { r.lat = append(r.lat, d) }
@@ -204,6 +208,7 @@ func replayFleet(srv *core.Server, mlv *core.MLVoronoiServer, exec *qexec.Execut
 		m := session.NewManager(exec, universe, session.Options{
 			PrefetchWorkers: 4, Registry: cfg.Obs, Strategy: strategy,
 		})
+		issued0, waste0 := m.PrefetchCounts()
 		ctx := context.Background()
 		ids := make([]uint64, len(paths))
 		for i, path := range paths {
@@ -230,7 +235,11 @@ func replayFleet(srv *core.Server, mlv *core.MLVoronoiServer, exec *qexec.Execut
 				case res.Hit:
 					r.hits++
 				case res.Prefetched:
+					// The detached prefetcher issued this index query
+					// (its node accesses are charged to no move).
 					r.prefetchHits++
+					r.queries++
+					r.rebuilds++
 				case res.Repaired:
 					// An INSQ repair re-derives the validity region from
 					// the influential set with zero index node accesses.
@@ -241,6 +250,8 @@ func replayFleet(srv *core.Server, mlv *core.MLVoronoiServer, exec *qexec.Execut
 				}
 			}
 		}
+		issued, waste := m.PrefetchCounts()
+		r.pfIssued, r.pfWaste = issued-issued0, waste-waste0
 		for _, id := range ids {
 			// Drop the fleet so the next mode starts clean; errors are
 			// impossible for ids we just issued.

@@ -115,10 +115,18 @@ func (pg Polygon) Bounds() Rect {
 // using Sutherland–Hodgman clipping. The result is again convex and CCW.
 // Degenerate (zero-normal) half-planes leave the polygon unchanged.
 func (pg Polygon) ClipHalfPlane(h HalfPlane) Polygon {
+	return pg.ClipHalfPlaneTol(h, Eps*(1+abs(h.A)+abs(h.B)))
+}
+
+// ClipHalfPlaneTol is ClipHalfPlane keeping every vertex p with
+// h.Eval(p) ≤ tol. ClipHalfPlane's tolerance, Eps·(1+|A|+|B|), is a
+// fixed absolute slack; callers that must resolve regions far smaller
+// than Eps in area pass one scaled to the half-plane instead.
+func (pg Polygon) ClipHalfPlaneTol(h HalfPlane, tol float64) Polygon {
 	if h.Degenerate() || len(pg) == 0 {
 		return pg
 	}
-	scale := Eps * (1 + abs(h.A) + abs(h.B))
+	scale := tol
 	out := make(Polygon, 0, len(pg)+1)
 	for i := 0; i < len(pg); i++ {
 		cur, next := pg[i], pg[(i+1)%len(pg)]

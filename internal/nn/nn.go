@@ -99,32 +99,91 @@ func (q pq) down(i0, n int) {
 // whose MBRs are closer than the next reported neighbor — the optimal
 // node-access behaviour.
 type Browser struct {
-	ix   rtree.Index
-	q    geom.Point
-	heap pq
+	ix       rtree.Index
+	q        geom.Point
+	heap     pq
+	expanded int
 }
 
 // NewBrowser starts distance browsing from q.
 func NewBrowser(ix rtree.Index, q geom.Point) *Browser {
-	b := &Browser{ix: ix, q: q}
-	if root := ix.RootRef(); root.Valid() {
-		b.heap = pq{{key: ix.RefRect(root).MinDist2(q), node: true, ref: root}}
-	}
+	b := &Browser{}
+	b.reset(ix, q)
 	return b
+}
+
+// browserPool recycles browsers and their heaps across queries.
+var browserPool = sync.Pool{New: func() interface{} {
+	return &Browser{heap: make(pq, 0, 512)}
+}}
+
+// AcquireBrowser is NewBrowser drawing the browser and its heap from a
+// pool: with a warm pool, browsing allocates nothing. Hand the browser
+// back with Release once done.
+//
+//lbsq:hotpath
+func AcquireBrowser(ix rtree.Index, q geom.Point) *Browser {
+	b := browserPool.Get().(*Browser)
+	b.reset(ix, q)
+	return b
+}
+
+// Release returns a browser obtained from AcquireBrowser to the pool;
+// the browser must not be used afterwards.
+//
+//lbsq:hotpath
+func (b *Browser) Release() {
+	b.ix = nil
+	b.heap = b.heap[:0]
+	browserPool.Put(b)
+}
+
+//lbsq:hotpath
+func (b *Browser) reset(ix rtree.Index, q geom.Point) {
+	b.ix, b.q, b.heap, b.expanded = ix, q, b.heap[:0], 0
+	if root := ix.RootRef(); root.Valid() {
+		b.heap.push(pqEntry{key: ix.RefRect(root).MinDist2(q), node: true, ref: root})
+	}
 }
 
 // Next returns the next nearest item and its distance, or ok=false when
 // the dataset is exhausted.
+//
+//lbsq:hotpath
 func (b *Browser) Next() (Neighbor, bool) {
-	for len(b.heap) > 0 {
+	return b.NextWithin(math.Inf(1))
+}
+
+// NextWithin is Next restricted to items at squared distance at most
+// limit2 from the query point: it returns ok=false, consuming nothing
+// more, as soon as every unreported item is known to lie farther.
+//
+//lbsq:hotpath
+func (b *Browser) NextWithin(limit2 float64) (Neighbor, bool) {
+	for len(b.heap) > 0 && b.heap[0].key <= limit2 {
 		e := b.heap.pop()
 		if !e.node {
 			return Neighbor{Item: e.item, Dist: math.Sqrt(e.key)}, true
 		}
 		expand(b.ix, &b.heap, e.ref, b.q)
+		b.expanded++
 	}
 	return Neighbor{}, false
 }
+
+// Bound returns a lower bound on the distance from the query point of
+// every item not yet reported (+Inf once the dataset is exhausted): the
+// key of the browser's next heap entry.
+func (b *Browser) Bound() float64 {
+	if len(b.heap) == 0 {
+		return math.Inf(1)
+	}
+	return math.Sqrt(b.heap[0].key)
+}
+
+// Expanded returns the number of nodes the browser has read so far —
+// its own node accesses, exact under concurrent use of the index.
+func (b *Browser) Expanded() int { return b.expanded }
 
 // expand visits a node and pushes its entries keyed by (squared)
 // distance from q.
@@ -155,15 +214,6 @@ func KNearest(ix rtree.Index, q geom.Point, k int) []Neighbor {
 	return KNearestInto(ix, q, k, make([]Neighbor, 0, k))
 }
 
-// nnScratch is the reusable best-first state for KNearestInto.
-type nnScratch struct {
-	heap pq
-}
-
-var nnPool = sync.Pool{New: func() interface{} {
-	return &nnScratch{heap: make(pq, 0, 512)}
-}}
-
 // KNearestInto is KNearest appending into a caller-supplied slice
 // (reset to length 0 first): with a warm pool and a dst with capacity,
 // the whole query performs zero heap allocations.
@@ -174,23 +224,15 @@ func KNearestInto(ix rtree.Index, q geom.Point, k int, dst []Neighbor) []Neighbo
 	if k <= 0 {
 		return dst
 	}
-	root := ix.RootRef()
-	if !root.Valid() {
-		return dst
-	}
-	sc := nnPool.Get().(*nnScratch)
-	h := sc.heap[:0]
-	h.push(pqEntry{key: ix.RefRect(root).MinDist2(q), node: true, ref: root})
-	for len(h) > 0 && len(dst) < k {
-		e := h.pop()
-		if !e.node {
-			dst = append(dst, Neighbor{Item: e.item, Dist: math.Sqrt(e.key)})
-			continue
+	b := AcquireBrowser(ix, q)
+	for len(dst) < k {
+		nb, ok := b.Next()
+		if !ok {
+			break
 		}
-		expand(ix, &h, e.ref, q)
+		dst = append(dst, nb)
 	}
-	sc.heap = h
-	nnPool.Put(sc)
+	b.Release()
 	return dst
 }
 

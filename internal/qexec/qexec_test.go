@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -264,6 +265,13 @@ func TestCoalescing(t *testing.T) {
 		}()
 	}
 	started.Wait()
+
+	// Followers bump the coalesced counter after joining the flight and
+	// before blocking on it; wait until all of them have joined, so none
+	// can arrive after the flight completes and lead a fresh one.
+	for local.met.coalesced.Value() != followers {
+		runtime.Gosched()
+	}
 
 	// Resolve the flight with a manually computed answer.
 	want, _, err := local.single.NNQuery(q, 2)

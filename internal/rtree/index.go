@@ -65,6 +65,8 @@ type Index interface {
 	All(fn func(Item) bool)
 
 	Len() int
+	// Height returns the number of levels (1 for a lone leaf root).
+	Height() int
 	NodeCount() int
 	NodeAccesses() int64
 	ResetAccesses()

@@ -74,10 +74,48 @@ func chooseLeastAreaEnlargement(n *Node, r geom.Rect) *Node {
 	return best
 }
 
+// overlapCandidates is the R*-tree's "nearly minimum overlap" constant
+// (Beckmann et al. 1990): overlap enlargement, quadratic in the fanout,
+// is scored only for the children with the least area enlargement.
+const overlapCandidates = 32
+
+// overlapCand is one child considered by chooseLeastOverlapEnlargement.
+type overlapCand struct {
+	c         *Node
+	enl, area float64
+}
+
+// before orders candidates by area enlargement, ties by area. Exact
+// comparisons: both sides come from the same computation.
+func (a overlapCand) before(b overlapCand) bool {
+	return a.enl < b.enl || (geom.ExactEq(a.enl, b.enl) && a.area < b.area)
+}
+
 func chooseLeastOverlapEnlargement(n *Node, r geom.Rect) *Node {
+	// Keep the overlapCandidates children of least area enlargement,
+	// sorted; on full ties the earlier child stays ahead.
+	var buf [overlapCandidates]overlapCand
+	cands := buf[:0]
+	for _, c := range n.children {
+		e := overlapCand{c: c, enl: c.rect.Enlargement(r), area: c.rect.Area()}
+		j := len(cands)
+		if j == overlapCandidates {
+			if !e.before(cands[j-1]) {
+				continue
+			}
+			j--
+		} else {
+			cands = cands[:j+1]
+		}
+		for ; j > 0 && e.before(cands[j-1]); j-- {
+			cands[j] = cands[j-1]
+		}
+		cands[j] = e
+	}
 	var best *Node
 	bestOv, bestEnl, bestArea := math.Inf(1), math.Inf(1), math.Inf(1)
-	for _, c := range n.children {
+	for _, cd := range cands {
+		c := cd.c
 		grown := c.rect.Union(r)
 		ov := 0.0
 		for _, o := range n.children {
@@ -86,12 +124,10 @@ func chooseLeastOverlapEnlargement(n *Node, r geom.Rect) *Node {
 			}
 			ov += grown.Overlap(o.rect) - c.rect.Overlap(o.rect)
 		}
-		enl := c.rect.Enlargement(r)
-		area := c.rect.Area()
 		if ov < bestOv ||
-			(geom.ExactEq(ov, bestOv) && enl < bestEnl) ||
-			(geom.ExactEq(ov, bestOv) && geom.ExactEq(enl, bestEnl) && area < bestArea) {
-			best, bestOv, bestEnl, bestArea = c, ov, enl, area
+			(geom.ExactEq(ov, bestOv) && cd.enl < bestEnl) ||
+			(geom.ExactEq(ov, bestOv) && geom.ExactEq(cd.enl, bestEnl) && cd.area < bestArea) {
+			best, bestOv, bestEnl, bestArea = c, ov, cd.enl, cd.area
 		}
 	}
 	return best

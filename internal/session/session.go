@@ -161,6 +161,13 @@ func (m *Manager) Epoch() uint64 { return m.epoch.Load() }
 // Strategy returns the manager's normalized session strategy name.
 func (m *Manager) Strategy() string { return m.strategy }
 
+// PrefetchCounts returns the cumulative number of trajectory prefetches
+// issued and of those discarded unused (the manager's
+// lbsq_session_prefetch_total issued/waste series).
+func (m *Manager) PrefetchCounts() (issued, wasted int64) {
+	return m.met.pfIssued.Value(), m.met.pfWaste.Value()
+}
+
 // Session is one registered continuous query. Its identity (kind, k,
 // extents) is immutable; the cached validity state is guarded by mu and
 // re-armed on every re-execution.

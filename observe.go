@@ -140,7 +140,7 @@ func newDBMetrics(reg *obs.Registry, db *DB) *dbMetrics {
 			obs.Labels{"op": op}, obs.AreaRatioBuckets)
 	}
 	m.tpQueries = reg.Counter("lbsq_tp_queries_total",
-		"Time-parameterized probe queries issued by influence computation.", nil)
+		"Time-parameterized probe queries issued by influence computation: only for region vertices the browse guard did not prove, and on nodes not owning the result.", nil)
 	reg.GaugeFunc("lbsq_items", "Points currently stored.", nil,
 		func() float64 { return float64(db.Len()) })
 	if db.server != nil && db.server.Buffer != nil {
