@@ -469,7 +469,8 @@ func assertRegion(q geom.Point, pg geom.Polygon, universe geom.Rect) {
 	}
 }
 
-// InfluenceSet1NN runs algorithm Retrieve_Influence_Set_1NN (Fig. 10).
+// InfluenceSet1NN is InfluenceSetKNN for the single nearest neighbor o
+// (the served counterpart of Retrieve_Influence_Set_1NN, Fig. 10).
 func InfluenceSet1NN(ix rtree.Index, q geom.Point, o rtree.Item, universe geom.Rect) (*NNValidity, error) {
 	return InfluenceSetKNN(ix, q, []rtree.Item{o}, universe)
 }
